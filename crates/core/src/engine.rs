@@ -10,6 +10,16 @@
 //! plus a local codec solve rebuild the lost *data*, then one reduce per
 //! lost parity role re-encodes the lost ranks' *parity* from the freshly
 //! rebuilt data.
+//!
+//! Each contribution to a reduce costs one allocation and one pass over
+//! the stripe: the codec builds it straight into a fresh buffer (for the
+//! GF codecs a fused copy-and-scale, for XOR a plain copy), and that
+//! buffer moves onto the `MPI_BXOR` wire as `u64` words and back by
+//! reinterpretation ([`kernels::into_bits`] / [`kernels::into_floats`]),
+//! never by conversion. A rank holding no data in a slot contributes
+//! [`Payload::Zeros`], which is never allocated and which the XOR reduce
+//! skips instead of combining. The bytes charged on the wire are those of
+//! a materialized zero stripe, so modelled times are unchanged.
 
 use skt_encoding::{kernels, ErasureCodec, GroupLayout, KernelConfig, Wire};
 use skt_mps::{Comm, Fault, Payload, ReduceOp};
@@ -17,16 +27,16 @@ use skt_mps::{Comm, Fault, Payload, ReduceOp};
 /// Rebuilt `(padded data, parity segment)` of a lost rank.
 pub type Rebuilt = (Vec<f64>, Vec<f64>);
 
-fn to_payload(wire: Wire, s: &[f64]) -> Payload {
+fn to_payload(wire: Wire, v: Vec<f64>) -> Payload {
     match wire {
-        Wire::Bits => Payload::U64(kernels::bits_of(s, KernelConfig::global())),
-        Wire::Floats => Payload::F64(s.to_vec()),
+        Wire::Bits => Payload::U64(kernels::into_bits(v)),
+        Wire::Floats => Payload::F64(v),
     }
 }
 
 fn from_payload(wire: Wire, p: Payload) -> Vec<f64> {
     match wire {
-        Wire::Bits => kernels::floats_of(&p.into_u64(), KernelConfig::global()),
+        Wire::Bits => kernels::into_floats(p.into_u64()),
         Wire::Floats => p.into_f64(),
     }
 }
@@ -36,6 +46,36 @@ fn op_of(wire: Wire) -> ReduceOp {
         Wire::Bits => ReduceOp::Xor,
         Wire::Floats => ReduceOp::Sum,
     }
+}
+
+/// Rank `me`'s contribution to slot `s`: its data stripe there passed
+/// through `code(pos, stripe)`, or the unallocated zero stripe when `me`
+/// holds a parity role of `s` instead.
+fn contribution(
+    layout: &GroupLayout,
+    wire: Wire,
+    me: usize,
+    s: usize,
+    data: &[f64],
+    code: impl FnOnce(usize, &[f64]) -> Vec<f64>,
+) -> Payload {
+    match layout.contribution(me, s) {
+        Some((pos, k)) => to_payload(wire, code(pos, layout.stripe(data, k))),
+        None => Payload::Zeros(layout.stripe_len()),
+    }
+}
+
+/// A parity segment from its per-role stripes, role `i` at
+/// `layout.parity_range(i)`; with one role, that stripe itself (no copy).
+fn parity_segment(layout: &GroupLayout, mut roles: Vec<Vec<f64>>) -> Result<Vec<f64>, Fault> {
+    if roles.iter().any(|r| r.len() != layout.stripe_len()) {
+        return Err(Fault::Protocol("a parity role never reached its owner"));
+    }
+    Ok(if roles.len() == 1 {
+        roles.swap_remove(0)
+    } else {
+        roles.concat()
+    })
 }
 
 /// Compute this rank's parity segment (the checksums of the `m` slots
@@ -61,34 +101,24 @@ pub fn encode_parity(
     let me = comm.rank();
     let wire = codec.wire();
     let kcfg = KernelConfig::global();
-    let zeros = kernels::zeroed(layout.stripe_len());
-    let mut my_parity = kernels::zeroed(layout.parity_len());
+    let mut roles = vec![Vec::new(); m];
     for s in 0..n {
         for role in 0..m {
-            let contrib = match layout.codeword_pos(me, s) {
-                Some(pos) => {
-                    let k = layout
-                        .stripe_of_slot(me, s)
-                        .expect("contributor has a stripe");
-                    to_payload(
-                        wire,
-                        &codec.contrib(role, pos, layout.stripe(data, k), kcfg),
-                    )
-                }
-                None => to_payload(wire, &zeros),
-            };
+            let contrib = contribution(layout, wire, me, s, data, |pos, x| {
+                codec.contrib(role, pos, x, kcfg)
+            });
             let root = layout.parity_owner(s, role);
             if let Some(parity) = comm.reduce(op_of(wire), root, contrib)? {
                 debug_assert_eq!(me, root);
                 debug_assert_eq!(layout.parity_role(me, s), Some(role));
-                my_parity[layout.parity_range(role)].copy_from_slice(&from_payload(wire, parity));
+                roles[role] = from_payload(wire, parity);
             }
         }
         if let Some(label) = failpoint {
             comm.ctx().failpoint(label)?;
         }
     }
-    Ok(my_parity)
+    parity_segment(layout, roles)
 }
 
 /// Rebuild the `lost` ranks' padded data buffers and parity segments
@@ -130,7 +160,6 @@ pub fn reconstruct_multi(
     let i_am_lost = lost.contains(&me);
     let wire = codec.wire();
     let kcfg = KernelConfig::global();
-    let zeros = kernels::zeroed(layout.stripe_len());
 
     let mut rebuilt_data = i_am_lost.then(|| kernels::zeroed(layout.padded_len()));
 
@@ -153,37 +182,25 @@ pub fn reconstruct_multi(
                 continue; // this role's parity died with its owner
             }
             let contrib = if i_am_lost {
-                to_payload(wire, &zeros)
+                Payload::Zeros(layout.stripe_len())
             } else if layout.parity_role(me, s) == Some(role) {
-                to_payload(wire, &my_parity[layout.parity_range(role)])
-            } else if let Some(pos) = layout.codeword_pos(me, s) {
-                let k = layout
-                    .stripe_of_slot(me, s)
-                    .expect("contributor has a stripe");
-                to_payload(
-                    wire,
-                    &codec.cancel_contrib(role, pos, layout.stripe(data, k), kcfg),
-                )
+                to_payload(wire, my_parity[layout.parity_range(role)].to_vec())
             } else {
-                // I own a different parity role of this slot.
-                to_payload(wire, &zeros)
+                // my cancelled stripe, or zeros when I own another role
+                contribution(layout, wire, me, s, data, |pos, x| {
+                    codec.cancel_contrib(role, pos, x, kcfg)
+                })
             };
             let syndrome = comm.allreduce(op_of(wire), contrib)?;
             syndromes.push((role, from_payload(wire, syndrome)));
         }
-        if let Some(mine) = rebuilt_data.as_mut() {
+        // A lost contributor of this slot keeps the stripe solved at its
+        // own codeword position.
+        if let (Some(mine), Some((my_pos, k))) = (rebuilt_data.as_mut(), layout.contribution(me, s))
+        {
             let solved = codec.solve(&erased, &syndromes, kcfg);
-            for (pos, stripe) in erased.iter().zip(&solved) {
-                // which lost rank sits at codeword position `pos`?
-                let l = lost
-                    .iter()
-                    .copied()
-                    .find(|&l| layout.codeword_pos(l, s) == Some(*pos))
-                    .expect("erased position maps back to a lost rank");
-                if l == me {
-                    let k = layout.stripe_of_slot(me, s).expect("lost contributor");
-                    mine[layout.stripe_range(k)].copy_from_slice(stripe);
-                }
+            if let Some((_, stripe)) = erased.iter().zip(&solved).find(|(pos, _)| **pos == my_pos) {
+                mine[layout.stripe_range(k)].copy_from_slice(stripe);
             }
         }
     }
@@ -191,31 +208,25 @@ pub fn reconstruct_multi(
     // Phase B: re-encode each lost rank's parity roles from the (now
     // complete) group data — one reduce per lost parity stripe, rooted
     // at its owner. Lost contributors feed their freshly rebuilt data.
-    let mut rebuilt_parity = i_am_lost.then(|| kernels::zeroed(layout.parity_len()));
+    let mut rebuilt_roles = i_am_lost.then(|| vec![Vec::new(); m]);
     let my_data: &[f64] = rebuilt_data.as_deref().unwrap_or(data);
     for &l in &lost {
         for role in 0..m {
             let s = layout.parity_slot(l, role);
-            let contrib = match layout.codeword_pos(me, s) {
-                Some(pos) => {
-                    let k = layout
-                        .stripe_of_slot(me, s)
-                        .expect("contributor has a stripe");
-                    to_payload(
-                        wire,
-                        &codec.contrib(role, pos, layout.stripe(my_data, k), kcfg),
-                    )
-                }
-                None => to_payload(wire, &zeros),
-            };
-            if let Some(parity) = comm.reduce(op_of(wire), l, contrib)? {
+            let contrib = contribution(layout, wire, me, s, my_data, |pos, x| {
+                codec.contrib(role, pos, x, kcfg)
+            });
+            let reduced = comm.reduce(op_of(wire), l, contrib)?;
+            if let (Some(parity), Some(mine)) = (reduced, rebuilt_roles.as_mut()) {
                 debug_assert_eq!(me, l);
-                rebuilt_parity.as_mut().unwrap()[layout.parity_range(role)]
-                    .copy_from_slice(&from_payload(wire, parity));
+                mine[role] = from_payload(wire, parity);
             }
         }
     }
-    Ok(rebuilt_data.map(|d| (d, rebuilt_parity.expect("lost rank rebuilt its parity"))))
+    let rebuilt_parity = rebuilt_roles
+        .map(|roles| parity_segment(layout, roles))
+        .transpose()?;
+    Ok(rebuilt_data.zip(rebuilt_parity))
 }
 
 /// Single-loss convenience wrapper over [`reconstruct_multi`].
@@ -257,28 +268,97 @@ mod tests {
         acc
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every rank's parity segment from a distributed encode of
+    /// `datasets` (one padded buffer per rank).
+    fn distributed_parity(
+        layout: GroupLayout,
+        codec: &'static dyn ErasureCodec,
+        datasets: &[Vec<f64>],
+    ) -> Vec<Vec<f64>> {
+        let datasets = datasets.to_vec();
+        run_local(layout.group_size(), move |ctx| {
+            let w = ctx.world();
+            encode_parity(&w, &layout, codec, &datasets[ctx.world_rank()], None)
+        })
+        .unwrap()
+    }
+
     #[test]
     fn encode_matches_sequential_reference() {
-        for code in [Code::Xor, Code::Sum] {
-            let codec = CodecSpec::single(code).resolve();
-            let n = 4;
-            let layout = GroupLayout::new(n, 9); // padded 9 -> stripe 3
-            let out = run_local(n, |ctx| {
-                let w = ctx.world();
-                let data = rank_data(ctx.world_rank(), layout.padded_len());
-                encode_parity(&w, &layout, codec, &data, None)
-            })
-            .unwrap();
-            let datasets: Vec<Vec<f64>> =
-                (0..n).map(|r| rank_data(r, layout.padded_len())).collect();
-            for (slot, parity) in out.iter().enumerate() {
-                let expect = sequential_parity(code, &layout, slot, &datasets);
-                for (a, b) in parity.iter().zip(&expect) {
-                    match code {
-                        Code::Xor => assert_eq!(a.to_bits(), b.to_bits(), "{code:?} slot {slot}"),
-                        Code::Sum => assert!((a - b).abs() < 1e-9, "{code:?} slot {slot}"),
+        // The reference XORs each contributor's stripe, scaled on the
+        // scalar kernel path, in rank order: the distributed encode must
+        // agree bit for bit whatever its tree order, kernel path and
+        // zero contributions.
+        let scalar = KernelConfig::serial().with_simd(skt_encoding::SimdMode::ForceScalar);
+        let specs = [
+            CodecSpec::single(Code::Xor),
+            CodecSpec::rs(1),
+            CodecSpec::rs(2),
+            CodecSpec::rs(3),
+            CodecSpec::dual(),
+        ];
+        for spec in specs {
+            let codec = spec.resolve();
+            let m = codec.parity_count();
+            for n in (m + 1).max(2)..=8 {
+                let layout = GroupLayout::new_with_parity(n, m, 3 * n + 1);
+                let datasets: Vec<Vec<f64>> =
+                    (0..n).map(|r| rank_data(r, layout.padded_len())).collect();
+                let out = distributed_parity(layout, codec, &datasets);
+                for (r, parity) in out.iter().enumerate() {
+                    for role in 0..m {
+                        let slot = layout.parity_slot(r, role);
+                        let mut expect = kernels::zeroed(layout.stripe_len());
+                        for (c, d) in datasets.iter().enumerate() {
+                            if let Some((pos, k)) = layout.contribution(c, slot) {
+                                let x = codec.contrib(role, pos, layout.stripe(d, k), scalar);
+                                kernels::xor_accumulate(&mut expect, &x, scalar);
+                            }
+                        }
+                        assert_eq!(
+                            bits(&parity[layout.parity_range(role)]),
+                            bits(&expect),
+                            "{} n={n} rank {r} role {role}",
+                            codec.name()
+                        );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn sum_encode_keeps_ieee_zero_sign_bit_exact() {
+        // Integer-valued data sums exactly in any order, so the parity
+        // must match the sequential reference bit for bit — including
+        // the elements where every stripe holds -0.0: the reference adds
+        // them to +0.0 and gets +0.0, and so must the reduce, whose
+        // parity owner contributes an unallocated zero stripe.
+        let codec = CodecSpec::single(Code::Sum).resolve();
+        for n in 2..=8 {
+            let layout = GroupLayout::new(n, 3 * (n - 1)); // stripe 3
+            let datasets: Vec<Vec<f64>> = (0..n)
+                .map(|r| {
+                    (0..layout.padded_len())
+                        .map(|i| {
+                            if i % 3 == 0 {
+                                -0.0
+                            } else {
+                                (r * 100 + i) as f64
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let out = distributed_parity(layout, codec, &datasets);
+            for (slot, parity) in out.iter().enumerate() {
+                let expect = sequential_parity(Code::Sum, &layout, slot, &datasets);
+                assert_eq!(bits(parity), bits(&expect), "n={n} slot {slot}");
+                assert_eq!(parity[0].to_bits(), 0.0f64.to_bits(), "n={n}: +0.0");
             }
         }
     }

@@ -56,7 +56,8 @@ pub trait ErasureCodec: Sync + Send {
     fn wire(&self) -> Wire;
 
     /// The contribution of the data stripe at codeword position `pos`
-    /// to parity role `role` of its slot.
+    /// to parity role `role` of its slot, built in one pass into a fresh
+    /// buffer that the reduce then owns (it travels by value).
     fn contrib(&self, role: usize, pos: usize, stripe: &[f64], cfg: KernelConfig) -> Vec<f64>;
 
     /// The contribution that cancels `stripe` back *out* of parity role
@@ -257,13 +258,12 @@ impl ErasureCodec for DualCodec {
     }
 
     fn contrib(&self, role: usize, pos: usize, stripe: &[f64], cfg: KernelConfig) -> Vec<f64> {
-        let mut out = stripe.to_vec();
-        match role {
-            0 => {}
-            1 => kernels::gf_scale(&mut out, gf256::gpow(pos), cfg),
+        let c = match role {
+            0 => 1,
+            1 => gf256::gpow(pos),
             _ => panic!("dual parity has roles 0 (P) and 1 (Q)"),
-        }
-        out
+        };
+        kernels::gf_mul(stripe, c, cfg)
     }
 
     fn cancel_contrib(
@@ -298,9 +298,7 @@ impl ErasureCodec for DualCodec {
                 } else {
                     // Only Q survives: S1 = g^x · D_x.
                     let s1 = s_of(1).expect("dual parity: no surviving role");
-                    let mut d = s1.to_vec();
-                    kernels::gf_scale(&mut d, gf256::inv(gf256::gpow(*x)), cfg);
-                    vec![d]
+                    vec![kernels::gf_mul(s1, gf256::inv(gf256::gpow(*x)), cfg)]
                 }
             }
             [x, y] => {

@@ -1,9 +1,10 @@
 //! Cache-blocked, multi-threaded accumulate / copy kernels.
 //!
 //! Every hot loop of the checkpoint path — the stripe reduces behind
-//! `MPI_Reduce`, the `work → B` / `D → C` flush copies, and the
-//! bits↔floats payload conversions — is a streaming element-wise pass
-//! over large `f64` buffers. This module gives them one shared engine:
+//! `MPI_Reduce`, the fused copy-and-scale that builds each reduce
+//! contribution, and the `work → B` / `D → C` flush copies — is a
+//! streaming element-wise pass over large `f64` buffers. This module
+//! gives them one shared engine:
 //!
 //! * buffers are walked in [`KernelConfig::chunk_len`]-element blocks so
 //!   a block stays cache-resident while an operator runs over it;
@@ -27,6 +28,7 @@
 //! always run serial — thread spawn costs more than it saves there.
 
 use crate::simd::{self, GfBackend, SimdMode};
+use std::mem::{ManuallyDrop, MaybeUninit};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default cache block, in `f64` elements: 64 Ki elements = 512 KiB,
@@ -297,28 +299,24 @@ pub fn zeroed(len: usize) -> Vec<f64> {
     vec![0.0; len]
 }
 
-/// The IEEE-754 bit patterns of `src` (payload conversion for BXOR).
+/// The IEEE-754 bit patterns of `v`, reusing its allocation: the
+/// zero-copy move of a stripe onto the `MPI_BXOR` wire.
 #[must_use]
-pub fn bits_of(src: &[f64], cfg: KernelConfig) -> Vec<u64> {
-    let mut out = vec![0u64; src.len()];
-    par_zip(cfg, &mut out, src, |d, s| {
-        for (p, q) in d.iter_mut().zip(s) {
-            *p = q.to_bits();
-        }
-    });
-    out
+pub fn into_bits(v: Vec<f64>) -> Vec<u64> {
+    let mut v = ManuallyDrop::new(v);
+    // SAFETY: `f64` and `u64` have the same size and alignment and every
+    // bit pattern is valid for both, so the allocation's layout is
+    // unchanged; `v` is never dropped, so the buffer has one owner.
+    unsafe { Vec::from_raw_parts(v.as_mut_ptr().cast(), v.len(), v.capacity()) }
 }
 
-/// The `f64` values of bit patterns `src` (inverse of [`bits_of`]).
+/// The `f64` values of bit patterns `v`, reusing its allocation (the
+/// inverse of [`into_bits`]).
 #[must_use]
-pub fn floats_of(src: &[u64], cfg: KernelConfig) -> Vec<f64> {
-    let mut out = vec![0.0f64; src.len()];
-    par_zip(cfg, &mut out, src, |d, s| {
-        for (p, q) in d.iter_mut().zip(s) {
-            *p = f64::from_bits(*q);
-        }
-    });
-    out
+pub fn into_floats(v: Vec<u64>) -> Vec<f64> {
+    let mut v = ManuallyDrop::new(v);
+    // SAFETY: as in `into_bits`.
+    unsafe { Vec::from_raw_parts(v.as_mut_ptr().cast(), v.len(), v.capacity()) }
 }
 
 /// Byte-wise GF(256) scale of the byte view of `buf` by the scalar `c`,
@@ -338,6 +336,34 @@ pub fn gf_scale(buf: &mut [f64], c: u8, cfg: KernelConfig) {
     par_inplace(cfg, buf, move |b| {
         simd::gf_scale_bytes(simd::f64_bytes_mut(b), c, backend);
     });
+}
+
+/// Byte-wise GF(256) product into a fresh buffer: `dst := c·src`, every
+/// element of `dst` written exactly once, so `dst` may be uninitialised
+/// spare capacity. Bit-identical to a copy followed by [`gf_scale`]
+/// under any partition and backend; `c = 1` is a plain bit copy.
+pub fn gf_mul_into(dst: &mut [MaybeUninit<f64>], src: &[f64], c: u8, cfg: KernelConfig) {
+    let backend = GfBackend::select(cfg.simd);
+    par_zip(cfg, dst, src, move |d, s| {
+        simd::gf_mul_into_bytes(
+            simd::uninit_f64_bytes_mut(d),
+            simd::f64_bytes(s),
+            c,
+            backend,
+        );
+    });
+}
+
+/// `c·src` in one allocation and one pass (see [`gf_mul_into`]): how the
+/// codecs build a reduce contribution.
+#[must_use]
+pub fn gf_mul(src: &[f64], c: u8, cfg: KernelConfig) -> Vec<f64> {
+    let mut out = Vec::with_capacity(src.len());
+    gf_mul_into(&mut out.spare_capacity_mut()[..src.len()], src, c, cfg);
+    // SAFETY: `gf_mul_into` initialised each of the first `src.len()`
+    // elements.
+    unsafe { out.set_len(src.len()) };
+    out
 }
 
 /// Byte-wise GF(256) multiply-accumulate over byte views: `acc ^= c·x`
@@ -484,13 +510,18 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         let src = data(999, 9);
+        let v = src.clone();
+        let ptr = v.as_ptr() as usize;
+        let bits = into_bits(v);
+        assert_eq!(bits.as_ptr() as usize, ptr, "no copy onto the wire");
+        assert!(bits.iter().zip(&src).all(|(w, b)| *w == b.to_bits()));
+        let back = into_floats(bits);
+        assert_eq!(back.as_ptr() as usize, ptr, "no copy off the wire");
+        assert!(back
+            .iter()
+            .zip(&src)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
         for cfg in configs() {
-            let bits = bits_of(&src, cfg);
-            let back = floats_of(&bits, cfg);
-            assert!(back
-                .iter()
-                .zip(&src)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
             let neg = negated(&src, cfg);
             assert!(neg
                 .iter()
@@ -553,6 +584,12 @@ mod tests {
                 gf_mac(&mut acc, &x, c, cfg);
                 let got: Vec<u8> = acc.iter().flat_map(|v| v.to_le_bytes()).collect();
                 assert_eq!(got, mac_ref, "mac c={c} cfg {cfg:?}");
+
+                let got: Vec<u8> = gf_mul(&base, c, cfg)
+                    .iter()
+                    .flat_map(|v| v.to_le_bytes())
+                    .collect();
+                assert_eq!(got, scale_ref, "mul c={c} cfg {cfg:?}");
             }
         }
     }

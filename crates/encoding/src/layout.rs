@@ -175,6 +175,13 @@ impl GroupLayout {
         Some((0..r).filter(|&t| self.contributes(t, s)).count())
     }
 
+    /// Where rank `r`'s data enters slot `s`: `(codeword position, data
+    /// stripe index)`, or `None` when `r` holds a parity role of `s`.
+    #[must_use]
+    pub fn contribution(&self, r: usize, s: usize) -> Option<(usize, usize)> {
+        Some((self.codeword_pos(r, s)?, self.stripe_of_slot(r, s)?))
+    }
+
     /// Element range of stripe `k` within the padded data buffer.
     #[must_use]
     pub fn stripe_range(&self, k: usize) -> Range<usize> {
@@ -347,6 +354,20 @@ mod tests {
                     if !l.contributes(r, s) {
                         assert_eq!(l.codeword_pos(r, s), None);
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn contribution_pairs_position_with_stripe() {
+        for (n, m) in [(2, 1), (4, 1), (4, 2), (7, 3)] {
+            let l = GroupLayout::new_with_parity(n, m, 5 * n);
+            for r in 0..n {
+                for s in 0..n {
+                    let want = l.codeword_pos(r, s).zip(l.stripe_of_slot(r, s));
+                    assert_eq!(l.contribution(r, s), want, "n={n} m={m} r={r} s={s}");
+                    assert_eq!(want.is_some(), l.contributes(r, s));
                 }
             }
         }

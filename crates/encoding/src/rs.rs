@@ -22,8 +22,9 @@
 //! # Distributed encode
 //!
 //! Encoding stays one reduce per parity role: a rank's contribution to
-//! role `role` is its data stripe pre-scaled by `c[role][pos]` locally,
-//! and the wire combine is plain bitwise XOR ([`Wire::Bits`]), exactly
+//! role `role` is its data stripe pre-scaled by `c[role][pos]` locally
+//! (one fused [`kernels::gf_mul`] pass into a fresh wire buffer), and
+//! the wire combine is plain bitwise XOR ([`Wire::Bits`]), exactly
 //! like the P+Q codec. The reduce result *is* the parity.
 //!
 //! # Decode
@@ -96,9 +97,7 @@ impl ErasureCodec for RsCodec {
     }
 
     fn contrib(&self, role: usize, pos: usize, stripe: &[f64], cfg: KernelConfig) -> Vec<f64> {
-        let mut out = stripe.to_vec();
-        kernels::gf_scale(&mut out, self.coeff(role, pos), cfg);
-        out
+        kernels::gf_mul(stripe, self.coeff(role, pos), cfg)
     }
 
     fn cancel_contrib(

@@ -2,8 +2,9 @@
 //! hot loops.
 //!
 //! The erasure codecs spend almost all of their time in two byte
-//! streams — `buf[i] = c·buf[i]` / `acc[i] ^= c·x[i]` over GF(2^8) for
-//! the Reed–Solomon parities, and the CRC-32C walk of the scrub patrol.
+//! streams — `buf[i] = c·buf[i]` / `dst[i] = c·src[i]` /
+//! `acc[i] ^= c·x[i]` over GF(2^8) for the Reed–Solomon parities, and
+//! the CRC-32C walk of the scrub patrol.
 //! Both have well-known data-parallel formulations, so this module keeps
 //! one *reference* implementation (the full 256-entry multiplication row
 //! / the byte-at-a-time CRC table) and a set of accelerated backends:
@@ -26,6 +27,7 @@
 //! whole suite once per forced path.
 
 use crate::gf256;
+use std::mem::MaybeUninit;
 
 /// How the byte-level kernels pick their implementation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -179,6 +181,15 @@ pub fn f64_bytes_mut(buf: &mut [f64]) -> &mut [u8] {
     unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast(), std::mem::size_of_val(buf)) }
 }
 
+/// Byte view of a possibly-uninitialised `f64` buffer (the spare
+/// capacity a fused kernel writes its output into).
+#[must_use]
+pub fn uninit_f64_bytes_mut(buf: &mut [MaybeUninit<f64>]) -> &mut [MaybeUninit<u8>] {
+    // SAFETY: `MaybeUninit<u8>` has no validity invariant and alignment
+    // only decreases; the byte length is the buffer's size.
+    unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast(), std::mem::size_of_val(buf)) }
+}
+
 /// The two 16-entry split tables of `c`: `LO[i] = c·i`,
 /// `HI[i] = c·(i << 4)`, so `c·b = LO[b & 0xF] ⊕ HI[b >> 4]` by the
 /// distributive law over the nibble decomposition `b = hi·16 ⊕ lo`.
@@ -200,6 +211,13 @@ fn scale_scalar(buf: &mut [u8], c: u8) {
     }
 }
 
+fn mul_scalar(dst: &mut [MaybeUninit<u8>], src: &[u8], c: u8) {
+    let row = gf256::mul_table(c);
+    for (d, s) in dst.iter_mut().zip(src) {
+        d.write(row[*s as usize]);
+    }
+}
+
 fn mac_scalar(acc: &mut [u8], x: &[u8], c: u8) {
     let row = gf256::mul_table(c);
     for (a, b) in acc.iter_mut().zip(x) {
@@ -213,6 +231,12 @@ fn scale_portable(buf: &mut [u8], lo: &[u8; 16], hi: &[u8; 16]) {
     }
 }
 
+fn mul_portable(dst: &mut [MaybeUninit<u8>], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        d.write(lo[(*s & 0x0F) as usize] ^ hi[(*s >> 4) as usize]);
+    }
+}
+
 fn mac_portable(acc: &mut [u8], x: &[u8], lo: &[u8; 16], hi: &[u8; 16]) {
     for (a, b) in acc.iter_mut().zip(x) {
         *a ^= lo[(*b & 0x0F) as usize] ^ hi[(*b >> 4) as usize];
@@ -223,6 +247,7 @@ fn mac_portable(acc: &mut [u8], x: &[u8], lo: &[u8; 16], hi: &[u8; 16]) {
 mod x86 {
     use super::nibble_tables;
     use std::arch::x86_64::*;
+    use std::mem::MaybeUninit;
 
     #[target_feature(enable = "ssse3")]
     pub unsafe fn scale_ssse3(buf: &mut [u8], c: u8) {
@@ -239,6 +264,27 @@ mod x86 {
             _mm_storeu_si128(ch.as_mut_ptr().cast(), r);
         }
         super::scale_portable(chunks.into_remainder(), &lo, &hi);
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support SSSE3.
+    #[target_feature(enable = "ssse3")]
+    pub unsafe fn mul_ssse3(dst: &mut [MaybeUninit<u8>], src: &[u8], c: u8) {
+        let (lo, hi) = nibble_tables(c);
+        let tlo = _mm_loadu_si128(lo.as_ptr().cast());
+        let thi = _mm_loadu_si128(hi.as_ptr().cast());
+        let mask = _mm_set1_epi8(0x0F);
+        let mut d16 = dst.chunks_exact_mut(16);
+        let mut s16 = src.chunks_exact(16);
+        for (d, s) in (&mut d16).zip(&mut s16) {
+            let v = _mm_loadu_si128(s.as_ptr().cast());
+            let ln = _mm_and_si128(v, mask);
+            let hn = _mm_and_si128(_mm_srli_epi64(v, 4), mask);
+            let r = _mm_xor_si128(_mm_shuffle_epi8(tlo, ln), _mm_shuffle_epi8(thi, hn));
+            _mm_storeu_si128(d.as_mut_ptr().cast(), r);
+        }
+        super::mul_portable(d16.into_remainder(), s16.remainder(), &lo, &hi);
     }
 
     #[target_feature(enable = "ssse3")]
@@ -275,6 +321,27 @@ mod x86 {
             _mm256_storeu_si256(ch.as_mut_ptr().cast(), r);
         }
         super::scale_portable(chunks.into_remainder(), &lo, &hi);
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn mul_avx2(dst: &mut [MaybeUninit<u8>], src: &[u8], c: u8) {
+        let (lo, hi) = nibble_tables(c);
+        let tlo = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
+        let thi = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
+        let mask = _mm256_set1_epi8(0x0F);
+        let mut d32 = dst.chunks_exact_mut(32);
+        let mut s32 = src.chunks_exact(32);
+        for (d, s) in (&mut d32).zip(&mut s32) {
+            let v = _mm256_loadu_si256(s.as_ptr().cast());
+            let ln = _mm256_and_si256(v, mask);
+            let hn = _mm256_and_si256(_mm256_srli_epi64(v, 4), mask);
+            let r = _mm256_xor_si256(_mm256_shuffle_epi8(tlo, ln), _mm256_shuffle_epi8(thi, hn));
+            _mm256_storeu_si256(d.as_mut_ptr().cast(), r);
+        }
+        super::mul_portable(d32.into_remainder(), s32.remainder(), &lo, &hi);
     }
 
     #[target_feature(enable = "avx2")]
@@ -341,6 +408,41 @@ pub fn gf_scale_bytes(buf: &mut [u8], c: u8, backend: GfBackend) {
             {
                 let (lo, hi) = nibble_tables(c);
                 scale_portable(buf, &lo, &hi);
+            }
+        }
+    }
+}
+
+/// `dst[i] := c · src[i]` over GF(2^8), on the chosen backend: the
+/// fused copy-and-scale that writes every byte of `dst` exactly once,
+/// so `dst` may be uninitialised (fresh spare capacity).
+pub fn gf_mul_into_bytes(dst: &mut [MaybeUninit<u8>], src: &[u8], c: u8, backend: GfBackend) {
+    assert_eq!(dst.len(), src.len(), "gf_mul_into_bytes: length mismatch");
+    match (c, backend) {
+        (0, _) => dst.fill(MaybeUninit::new(0)),
+        (1, _) => {
+            dst.write_copy_of_slice(src);
+        }
+        (_, GfBackend::Scalar) => mul_scalar(dst, src, c),
+        (_, GfBackend::Portable) => {
+            let (lo, hi) = nibble_tables(c);
+            mul_portable(dst, src, &lo, &hi);
+        }
+        (_, GfBackend::Ssse3 | GfBackend::Avx2) => {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `select`/`available` only surface these backends
+            // after `is_x86_feature_detected!` confirmed the feature.
+            unsafe {
+                if backend == GfBackend::Avx2 {
+                    x86::mul_avx2(dst, src, c);
+                } else {
+                    x86::mul_ssse3(dst, src, c);
+                }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            {
+                let (lo, hi) = nibble_tables(c);
+                mul_portable(dst, src, &lo, &hi);
             }
         }
     }
@@ -482,6 +584,14 @@ mod tests {
         }
     }
 
+    fn mul_vec(src: &[u8], c: u8, backend: GfBackend) -> Vec<u8> {
+        let mut out = Vec::with_capacity(src.len());
+        gf_mul_into_bytes(&mut out.spare_capacity_mut()[..src.len()], src, c, backend);
+        // SAFETY: the kernel wrote each of the first `src.len()` bytes.
+        unsafe { out.set_len(src.len()) };
+        out
+    }
+
     #[test]
     fn every_gf_backend_matches_scalar_at_awkward_lengths() {
         // 0, sub-16-byte tails, exactly one vector, vector+tail, large.
@@ -500,6 +610,8 @@ mod tests {
                     let mut got = base.clone();
                     gf_mac_bytes(&mut got, &x, c, backend);
                     assert_eq!(got, want_mac, "mac len={len} c={c} {backend:?}");
+                    let got = mul_vec(&base, c, backend);
+                    assert_eq!(got, want_scale, "mul len={len} c={c} {backend:?}");
                 }
             }
         }

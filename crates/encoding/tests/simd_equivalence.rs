@@ -1,5 +1,5 @@
 //! SIMD/scalar kernel-equivalence properties: every accelerated backend
-//! of the GF(2^8) multiply/axpy and CRC-32C kernels must produce bytes
+//! of the GF(2^8) scale/fused-multiply/axpy and CRC-32C kernels must produce bytes
 //! identical to the scalar reference for arbitrary lengths, values and
 //! (mis)alignments — including the sub-vector tails the `pshufb` and
 //! 8-byte-stride paths hand to their scalar remainders.
@@ -13,9 +13,10 @@
 use proptest::prelude::*;
 use skt_encoding::kernels::{self, KernelConfig};
 use skt_encoding::simd::{
-    crc32c_update, gf_mac_bytes, gf_scale_bytes, CrcBackend, GfBackend, SimdMode,
+    crc32c_update, gf_mac_bytes, gf_mul_into_bytes, gf_scale_bytes, CrcBackend, GfBackend, SimdMode,
 };
 use skt_encoding::{crc32c_f64, gf256};
+use std::mem::MaybeUninit;
 
 fn bytes(len: usize, seed: u64) -> Vec<u8> {
     (0..len)
@@ -62,6 +63,36 @@ proptest! {
                 "scale: len={} offset={} c={} backend={:?}", len, offset, c, backend
             );
             prop_assert_eq!(&got[..offset], &base[..offset], "prefix untouched");
+        }
+    }
+
+    /// `dst[i] := c·src[i]` into uninitialised memory: every available
+    /// backend writes exactly the bytes of a copy scaled on the scalar
+    /// reference, with independently mis-aligned input and output, and
+    /// nothing outside `dst`.
+    #[test]
+    fn gf_mul_into_backends_match_scalar_scale(
+        len in 0usize..600,
+        d_off in 0usize..33,
+        s_off in 0usize..33,
+        c in any::<u8>(),
+        seed in any::<u64>(),
+    ) {
+        let src = bytes(len + s_off, seed);
+        let mut want = src[s_off..].to_vec();
+        gf_scale_bytes(&mut want, c, GfBackend::Scalar);
+        for backend in GfBackend::available() {
+            // a guard byte on each side catches any stray write
+            let mut out = vec![MaybeUninit::new(0xA5u8); d_off + len + 1];
+            gf_mul_into_bytes(&mut out[d_off..d_off + len], &src[s_off..], c, backend);
+            // SAFETY: every byte was initialised, by the fill or the kernel.
+            let got: Vec<u8> = out.iter().map(|b| unsafe { b.assume_init() }).collect();
+            prop_assert_eq!(
+                &got[d_off..d_off + len], want.as_slice(),
+                "mul: len={} d_off={} s_off={} c={} backend={:?}", len, d_off, s_off, c, backend
+            );
+            prop_assert!(got[..d_off].iter().all(|&b| b == 0xA5), "prefix untouched");
+            prop_assert_eq!(got[d_off + len], 0xA5, "suffix untouched");
         }
     }
 
@@ -136,7 +167,8 @@ proptest! {
 
     /// The f64-level GF kernels through the `KernelConfig` dispatch:
     /// forced-scalar, forced-SIMD and auto produce identical bits for
-    /// arbitrary lengths, scalars and thread/chunk policies.
+    /// arbitrary lengths, scalars and thread/chunk policies, and the
+    /// fused `gf_mul` equals copy-then-`gf_scale` on the scalar path.
     #[test]
     fn f64_gf_kernels_are_mode_invariant(
         len in 0usize..300,
@@ -154,6 +186,12 @@ proptest! {
         kernels::gf_mac(&mut want_mac, &x, c, reference);
         for mode in [SimdMode::Auto, SimdMode::ForceScalar, SimdMode::ForceSimd] {
             let cfg = KernelConfig::new(threads, chunk).with_simd(mode);
+            let got = kernels::gf_mul(&base, c, cfg);
+            prop_assert!(
+                got.iter().zip(&want_scale).all(|(a, b)| a.to_bits() == b.to_bits())
+                    && got.len() == len,
+                "gf_mul: len={} c={} cfg={:?}", len, c, cfg
+            );
             let mut got = base.clone();
             kernels::gf_scale(&mut got, c, cfg);
             prop_assert!(

@@ -225,7 +225,10 @@ impl<'c> Comm<'c> {
     /// Reduce to comm rank `root` over a binomial tree; the root gets
     /// `Some(result)`, everyone else `None`. Matches `MPI_Reduce` with the
     /// operators of [`ReduceOp`] — including `Xor` on `U64`, the encoding
-    /// primitive of the paper (§2.2).
+    /// primitive of the paper (§2.2). Each tree node folds received
+    /// operands in by value ([`ReduceOp::fold`]), so a
+    /// [`Payload::Zeros`] contribution is skipped or replaced rather than
+    /// combined; the result is `Zeros` only when every contribution was.
     pub fn reduce(
         &self,
         op: ReduceOp,
@@ -257,7 +260,7 @@ impl<'c> Comm<'c> {
                 let peer = vr | mask;
                 if peer < size {
                     let rhs = self.recv_tagged(actual(peer), tag)?;
-                    op.apply(&mut acc, &rhs);
+                    op.fold(&mut acc, rhs);
                 }
             } else {
                 self.send_tagged(actual(vr - mask), tag, acc)?;
@@ -470,6 +473,39 @@ mod tests {
         .unwrap();
         let expect = (0..6).fold(0u64, |acc, r| acc ^ (0x1111u64 << r));
         assert_eq!(out[0], Some(expect));
+    }
+
+    #[test]
+    fn xor_reduce_with_zero_contributions_matches_materialized_zeros() {
+        // Every subset of zero contributors, including the root (a zero
+        // accumulator that must adopt a received operand) and the leaves
+        // (operands that must be skipped), over every root.
+        let n = 5;
+        for root in 0..n {
+            for mask in 0u32..1 << n {
+                let out = run_local(n, move |ctx| {
+                    let w = ctx.world();
+                    let r = w.rank();
+                    let p = if mask >> r & 1 == 1 {
+                        Payload::Zeros(2)
+                    } else {
+                        Payload::U64(vec![0x11 << r, 0x100 + r as u64])
+                    };
+                    w.reduce(ReduceOp::Xor, root, p)
+                })
+                .unwrap();
+                let expect = (0..n)
+                    .filter(|r| mask >> r & 1 == 0)
+                    .fold(vec![0u64; 2], |acc, r| {
+                        vec![acc[0] ^ (0x11 << r), acc[1] ^ (0x100 + r as u64)]
+                    });
+                let got = out[root].clone().expect("root gets the result");
+                if mask == (1 << n) - 1 {
+                    assert_eq!(got, Payload::Zeros(2), "all-zero reduce stays unallocated");
+                }
+                assert_eq!(got.into_u64(), expect, "root {root} mask {mask:05b}");
+            }
+        }
     }
 
     #[test]

@@ -352,7 +352,7 @@ proptest! {
         for (a, b) in dst.iter().zip(&src) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
-        let back = kernels::floats_of(&kernels::bits_of(&src, cfg), cfg);
+        let back = kernels::into_floats(kernels::into_bits(src.clone()));
         for (a, b) in back.iter().zip(&src) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
