@@ -63,7 +63,9 @@ pub trait Runtime: Send + Sync {
 
     /// Run the scheduler loop until every task of the current world is
     /// done. No-op in real time (the OS is the scheduler); under
-    /// simulation the launching thread lends itself out here.
+    /// simulation the launching thread lends itself out here, to make the
+    /// first pick once every task has checked in and to step in whenever
+    /// no task is left to pass the token to.
     fn drive(&self) {}
 
     /// Kill-capable yield point, labeled for the yield-point map (probe
@@ -82,8 +84,13 @@ pub trait Runtime: Send + Sync {
         None
     }
 
-    /// Wake every parked task (a message was delivered, or the job
-    /// aborted). Cheap no-op in real time.
+    /// Make every parked task runnable again (a message was delivered, or
+    /// the job aborted). Under simulation this only changes task states:
+    /// the running task keeps the token and hands it on at its next yield,
+    /// where a woken task may be picked. Called while no task runs — from
+    /// outside the rank world, like a service thread's `kill_node` — it
+    /// also wakes the driver, since no task would pass the token on.
+    /// Cheap no-op in real time.
     fn notify(&self) {}
 
     /// Configure the stall policy for gray faults: when every live task

@@ -2,9 +2,10 @@
 //!
 //! One OS thread still backs each rank, but only one runs at a time: a
 //! task executes until its next yield point (probe, send, blocking
-//! receive), hands the token back, and a seeded RNG picks the next
-//! runnable task. The interleaving — and with it every race the protocol
-//! could see — is therefore a pure function of the seed.
+//! receive), where it draws the next runnable task from a seeded RNG and
+//! hands the token straight to it, waking that task's thread and no
+//! other. The interleaving — and with it every race the protocol could
+//! see — is therefore a pure function of the seed.
 //!
 //! ## Virtual time
 //!
@@ -59,6 +60,9 @@ enum TaskState {
 
 struct Task {
     state: TaskState,
+    /// This task's wake slot (used with the `sched` mutex): signalled
+    /// only when the token is granted to it or the scheduler is poisoned.
+    wake: Arc<Condvar>,
     node: usize,
     /// Current phase window (label of the innermost `PhaseEnter` not yet
     /// exited), used for targeted kills.
@@ -107,7 +111,10 @@ const STALL_WAKE_LIMIT: u64 = 100_000;
 /// clock through here.
 pub struct SimRuntime {
     sched: Mutex<Sched>,
-    cv: Condvar,
+    /// The driver's wake slot: signalled when the last task checks in,
+    /// when no task is ready to take the token, and by a `notify` from
+    /// outside the rank world.
+    driver: Condvar,
     clock_ns: AtomicU64,
     seed: u64,
 }
@@ -126,7 +133,7 @@ impl SimRuntime {
                 stall_wake: None,
                 stalls: 0,
             }),
-            cv: Condvar::new(),
+            driver: Condvar::new(),
             clock_ns: AtomicU64::new(0),
             seed,
         })
@@ -181,33 +188,9 @@ impl SimRuntime {
     fn note_yield(s: &mut Sched, rank: usize, label: &str) -> bool {
         let node = s.tasks[rank].node;
         let phase = s.tasks[rank].phase;
-        if !s.yields.contains_key(label) {
-            s.yields.insert(label.to_string(), HashMap::new());
-        }
-        let c_label = {
-            let c = s
-                .yields
-                .get_mut(label)
-                .expect("just inserted")
-                .entry(node)
-                .or_insert(0);
-            *c += 1;
-            *c
-        };
+        let c_label = Self::count_yield(&mut s.yields, label, node);
         let c_phase = match phase {
-            Some(p) if p != label => {
-                if !s.yields.contains_key(p) {
-                    s.yields.insert(p.to_string(), HashMap::new());
-                }
-                let c = s
-                    .yields
-                    .get_mut(p)
-                    .expect("just inserted")
-                    .entry(node)
-                    .or_insert(0);
-                *c += 1;
-                Some(*c)
-            }
+            Some(p) if p != label => Some(Self::count_yield(&mut s.yields, p, node)),
             _ => None,
         };
         if let Some(k) = &s.kill {
@@ -228,16 +211,88 @@ impl SimRuntime {
         false
     }
 
-    /// Block the calling task until the scheduler hands it the token.
+    /// Bump `node`'s yield count under `label` and return it. The label
+    /// is copied into the map only the first time it is seen.
+    fn count_yield(
+        yields: &mut HashMap<String, HashMap<usize, u64>>,
+        label: &str,
+        node: usize,
+    ) -> u64 {
+        if let Some(per) = yields.get_mut(label) {
+            let c = per.entry(node).or_insert(0);
+            *c += 1;
+            return *c;
+        }
+        yields.insert(label.to_string(), HashMap::from([(node, 1)]));
+        1
+    }
+
+    /// The seeded pick. Only when no task holds the token and every task
+    /// has checked in (the start barrier), draw one Ready task — scanned
+    /// in ascending rank order, one draw per grant — make it the holder
+    /// and charge one step. Returns the new holder; `None` when a task is
+    /// running or spawned, or none is ready.
+    fn grant(&self, s: &mut Sched) -> Option<usize> {
+        let mut ready = 0;
+        for t in &s.tasks {
+            match t.state {
+                TaskState::Running | TaskState::Spawned => return None,
+                TaskState::Ready => ready += 1,
+                TaskState::Parked | TaskState::Done => {}
+            }
+        }
+        if ready == 0 {
+            return None;
+        }
+        let nth = s.rng.below(ready) as usize;
+        let (pick, _) = s
+            .tasks
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.state == TaskState::Ready)
+            .nth(nth)?;
+        s.tasks[pick].state = TaskState::Running;
+        s.steps += 1;
+        self.tick();
+        Some(pick)
+    }
+
+    /// Pass on the token `rank` just gave up: grant it and wake only the
+    /// new holder (nobody, when `rank` drew itself), or wake the driver
+    /// when no task is ready — every live task parked, or all done.
+    fn hand_off(&self, s: &mut Sched, rank: usize) {
+        match self.grant(s) {
+            Some(next) if next == rank => {}
+            Some(next) => s.tasks[next].wake.notify_one(),
+            None => self.driver.notify_one(),
+        }
+    }
+
+    /// Give up `rank`'s token at yield `label`, becoming `state` (Ready or
+    /// Parked), hand it on, and block until it comes back.
+    fn step_down(&self, mut s: MutexGuard<'_, Sched>, rank: usize, state: TaskState, label: &str) {
+        let t = &mut s.tasks[rank];
+        t.state = state;
+        t.last_yield.clear();
+        t.last_yield.push_str(label);
+        self.hand_off(&mut s, rank);
+        let _s = self.wait_for_token(s, rank);
+    }
+
+    /// Block the calling task until it holds the token.
     fn wait_for_token<'a>(
         &'a self,
         mut s: MutexGuard<'a, Sched>,
         rank: usize,
     ) -> MutexGuard<'a, Sched> {
-        self.cv.notify_all();
         while s.tasks[rank].state != TaskState::Running {
-            assert!(!s.poisoned, "sim scheduler poisoned (deadlock elsewhere)");
-            s = self.cv.wait(s).expect("sim scheduler lock poisoned");
+            if s.poisoned {
+                // release the lock first so this task can still exit
+                drop(s);
+                panic!("sim scheduler poisoned (deadlock elsewhere)");
+            }
+            let wake = Arc::clone(&s.tasks[rank].wake);
+            s = wake.wait(s).expect("sim scheduler lock poisoned");
         }
         s
     }
@@ -283,6 +338,7 @@ impl Runtime for SimRuntime {
             .iter()
             .map(|&node| Task {
                 state: TaskState::Spawned,
+                wake: Arc::new(Condvar::new()),
                 node,
                 phase: None,
                 last_yield: String::new(),
@@ -296,6 +352,10 @@ impl Runtime for SimRuntime {
         let mut s = self.lock();
         assert_eq!(s.tasks[rank].state, TaskState::Spawned, "double task_enter");
         s.tasks[rank].state = TaskState::Ready;
+        if s.tasks.iter().all(|t| t.state != TaskState::Spawned) {
+            // the last thread checked in: the first pick is the driver's
+            self.driver.notify_one();
+        }
         let _s = self.wait_for_token(s, rank);
     }
 
@@ -303,7 +363,9 @@ impl Runtime for SimRuntime {
         CURRENT_RANK.with(|c| c.set(None));
         let mut s = self.lock();
         s.tasks[rank].state = TaskState::Done;
-        self.cv.notify_all();
+        if !s.poisoned {
+            self.hand_off(&mut s, rank);
+        }
     }
 
     fn drive(&self) {
@@ -312,53 +374,47 @@ impl Runtime for SimRuntime {
             if s.tasks.iter().all(|t| t.state == TaskState::Done) {
                 return;
             }
-            if s.tasks.iter().any(|t| t.state == TaskState::Running) {
-                s = self.cv.wait(s).expect("sim scheduler lock poisoned");
-                continue;
-            }
-            if s.tasks.iter().any(|t| t.state == TaskState::Spawned) {
-                // don't pick until every thread has checked in: the set of
-                // arrived tasks is timing-dependent, the full world is not
-                s = self.cv.wait(s).expect("sim scheduler lock poisoned");
-                continue;
-            }
-            let ready: Vec<usize> = s
-                .tasks
+            if s.tasks
                 .iter()
-                .enumerate()
-                .filter(|(_, t)| t.state == TaskState::Ready)
-                .map(|(r, _)| r)
-                .collect();
-            if ready.is_empty() {
-                // Every live task is parked. Under a gray-fault stall
-                // policy this is the hung-node case: let virtual time
-                // pass and wake the waiters so they can poll suspicion.
-                if let Some(step) = s.stall_wake {
-                    if s.stalls < STALL_WAKE_LIMIT {
-                        s.stalls += 1;
-                        self.advance(step);
-                        for t in &mut s.tasks {
-                            if t.state == TaskState::Parked {
-                                t.state = TaskState::Ready;
-                            }
-                        }
-                        continue;
-                    }
-                }
-                // nothing can wake them: a genuine deadlock
-                s.poisoned = true;
-                self.cv.notify_all();
-                panic!(
-                    "sim deadlock (seed {}): all tasks parked\n{}",
-                    self.seed,
-                    Self::dump(&s)
-                );
+                .any(|t| matches!(t.state, TaskState::Running | TaskState::Spawned))
+            {
+                // a running task hands the token on by itself; a spawned
+                // one holds the start barrier: the set of arrived tasks
+                // is timing-dependent, the full world is not
+                s = self.driver.wait(s).expect("sim scheduler lock poisoned");
+                continue;
             }
-            let pick = ready[s.rng.below(ready.len() as u64) as usize];
-            s.tasks[pick].state = TaskState::Running;
-            s.steps += 1;
-            self.tick();
-            self.cv.notify_all();
+            if let Some(next) = self.grant(&mut s) {
+                s.tasks[next].wake.notify_one();
+                continue;
+            }
+            // Every live task is parked. Under a gray-fault stall policy
+            // this is the hung-node case: let virtual time pass and wake
+            // the waiters so they can poll suspicion.
+            if let Some(step) = s.stall_wake {
+                if s.stalls < STALL_WAKE_LIMIT {
+                    s.stalls += 1;
+                    self.advance(step);
+                    for t in &mut s.tasks {
+                        if t.state == TaskState::Parked {
+                            t.state = TaskState::Ready;
+                        }
+                    }
+                    continue;
+                }
+            }
+            // nothing can wake them: a genuine deadlock. Release every
+            // parked task (and the lock) so their threads unwind and join.
+            s.poisoned = true;
+            for t in &s.tasks {
+                t.wake.notify_one();
+            }
+            let dump = Self::dump(&s);
+            drop(s);
+            panic!(
+                "sim deadlock (seed {}): all tasks parked\n{dump}",
+                self.seed
+            );
         }
     }
 
@@ -372,10 +428,7 @@ impl Runtime for SimRuntime {
             // unwind atomically, exactly like a probe kill
             return YieldOutcome::Killed;
         }
-        s.tasks[rank].state = TaskState::Ready;
-        s.tasks[rank].last_yield.clear();
-        s.tasks[rank].last_yield.push_str(label);
-        let _s = self.wait_for_token(s, rank);
+        self.step_down(s, rank, TaskState::Ready, label);
         YieldOutcome::Continue
     }
 
@@ -385,10 +438,7 @@ impl Runtime for SimRuntime {
         if Self::note_yield(&mut s, rank, "recv-park") {
             return Some(YieldOutcome::Killed);
         }
-        s.tasks[rank].state = TaskState::Parked;
-        s.tasks[rank].last_yield.clear();
-        s.tasks[rank].last_yield.push_str("recv-park");
-        let _s = self.wait_for_token(s, rank);
+        self.step_down(s, rank, TaskState::Parked, "recv-park");
         Some(YieldOutcome::Continue)
     }
 
@@ -398,12 +448,20 @@ impl Runtime for SimRuntime {
 
     fn notify(&self) {
         let mut s = self.lock();
+        let mut running = false;
         for t in &mut s.tasks {
-            if t.state == TaskState::Parked {
-                t.state = TaskState::Ready;
+            match t.state {
+                TaskState::Parked => t.state = TaskState::Ready,
+                TaskState::Running => running = true,
+                _ => {}
             }
         }
-        self.cv.notify_all();
+        if !running {
+            // called from outside the rank world (the launching or a
+            // service thread): no task will hand the token on, so the
+            // driver must make the next pick
+            self.driver.notify_one();
+        }
     }
 
     fn phase_mark(&self, label: &'static str, enter: bool) {
@@ -423,28 +481,44 @@ impl Runtime for SimRuntime {
 mod tests {
     use super::*;
 
-    /// Drive `n` tasks that yield `label` a few times each; returns the
-    /// order in which (rank, yield-index) pairs were granted the token.
-    fn run_world(seed: u64, n: usize, yields: usize) -> Vec<(usize, usize)> {
+    /// What a world left behind: the order in which `(rank, i)` pairs
+    /// were logged (each task logs once per time slice it is granted),
+    /// the scheduling steps taken, and the virtual clock in quanta.
+    type Schedule = (Vec<(usize, usize)>, u64, u64);
+
+    /// Drive `n` tasks running `body(rt, rank, log)` between `task_enter`
+    /// and `task_exit` on a fresh runtime under `seed`.
+    fn run_tasks<F>(seed: u64, n: usize, body: F) -> Schedule
+    where
+        F: Fn(&SimRuntime, usize, &dyn Fn(usize)) + Sync,
+    {
         let rt = SimRuntime::new(seed);
         let order = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             rt.begin_world(&(0..n).collect::<Vec<_>>());
             for rank in 0..n {
                 let rt = Arc::clone(&rt);
-                let order = &order;
+                let (order, body) = (&order, &body);
                 scope.spawn(move || {
                     rt.task_enter(rank);
-                    for i in 0..yields {
-                        order.lock().unwrap().push((rank, i));
-                        assert_eq!(rt.yield_now("step"), YieldOutcome::Continue);
-                    }
+                    body(&rt, rank, &|i| order.lock().unwrap().push((rank, i)));
                     rt.task_exit(rank);
                 });
             }
             rt.drive();
         });
-        order.into_inner().unwrap()
+        let quanta = (rt.now().as_nanos() / QUANTUM.as_nanos()) as u64;
+        (order.into_inner().unwrap(), rt.steps(), quanta)
+    }
+
+    /// `n` tasks that each yield `"step"` `yields` times.
+    fn run_world(seed: u64, n: usize, yields: usize) -> Schedule {
+        run_tasks(seed, n, |rt, _, log| {
+            for i in 0..yields {
+                log(i);
+                assert_eq!(rt.yield_now("step"), YieldOutcome::Continue);
+            }
+        })
     }
 
     #[test]
@@ -459,6 +533,80 @@ mod tests {
             runs.windows(2).any(|w| w[0] != w[1]),
             "16 seeds, 4 tasks, 8 yields: some pair must differ"
         );
+    }
+
+    /// A pinned schedule: grant log, steps, quanta.
+    type Golden = (&'static [(usize, usize)], u64, u64);
+
+    fn assert_golden(got: Schedule, want: Golden) {
+        assert_eq!(got, (want.0.to_vec(), want.1, want.2));
+    }
+
+    /// `(seed, n, yields)` worlds and their schedules, recorded on the
+    /// shared-condvar scheduler this one replaced. Any change to the pick
+    /// (scan order, draws per grant, steps or ticks per grant) breaks them.
+    #[rustfmt::skip]
+    const GOLDEN_WORLDS: &[(u64, usize, usize, Golden)] = &[
+        (3, 4, 3, (&[(1, 0), (1, 1), (1, 2), (3, 0), (2, 0), (3, 1), (0, 0), (2, 1), (2, 2),
+                     (0, 1), (0, 2), (3, 2)], 16, 16)),
+        (42, 6, 2, (&[(1, 0), (1, 1), (0, 0), (0, 1), (4, 0), (2, 0), (3, 0), (4, 1), (5, 0),
+                      (5, 1), (3, 1), (2, 1)], 18, 18)),
+        (1234, 2, 5, (&[(1, 0), (0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (0, 2), (1, 4), (0, 3),
+                        (0, 4)], 12, 12)),
+    ];
+    #[rustfmt::skip]
+    const GOLDEN_PARK_NOTIFY: Golden = (&[(0, 0), (1, 0), (1, 1), (0, 1), (1, 2), (2, 0), (1, 3),
+                                          (2, 1), (2, 2), (2, 3), (0, 2)], 13, 13);
+    #[rustfmt::skip]
+    const GOLDEN_EARLY_EXIT: Golden = (&[(2, 0), (2, 1), (2, 2), (0, 0), (3, 0), (0, 1), (0, 2),
+                                         (0, 3)], 12, 12);
+
+    #[test]
+    fn golden_schedules_are_pinned() {
+        for &(seed, n, yields, want) in GOLDEN_WORLDS {
+            assert_golden(run_world(seed, n, yields), want);
+        }
+    }
+
+    #[test]
+    fn golden_schedule_with_park_and_notify() {
+        // rank 0 parks until both senders have delivered (under seed 7 it
+        // parks twice); ranks 1 and 2 yield, deliver (notify), yield again
+        let sent = Mutex::new(0);
+        let got = run_tasks(7, 3, |rt, rank, log| {
+            if rank == 0 {
+                for i in 0.. {
+                    log(i);
+                    if *sent.lock().unwrap() == 2 {
+                        break;
+                    }
+                    assert_eq!(rt.park_blocked(), Some(YieldOutcome::Continue));
+                }
+            } else {
+                for i in 0..4 {
+                    log(i);
+                    if i == rank {
+                        *sent.lock().unwrap() += 1;
+                        rt.notify();
+                    }
+                    rt.yield_now("send");
+                }
+            }
+        });
+        assert_golden(got, GOLDEN_PARK_NOTIFY);
+    }
+
+    #[test]
+    fn golden_schedule_with_early_exit() {
+        // rank 1 exits on its first slice, rank 3 after one yield
+        let yields = [4, 0, 3, 1];
+        let got = run_tasks(8, 4, |rt, rank, log| {
+            for i in 0..yields[rank] {
+                log(i);
+                rt.yield_now("step");
+            }
+        });
+        assert_golden(got, GOLDEN_EARLY_EXIT);
     }
 
     #[test]
@@ -582,6 +730,88 @@ mod tests {
             .cloned()
             .unwrap_or_else(|| "?".into());
         assert!(msg.contains("sim deadlock"), "{msg}");
+    }
+
+    #[test]
+    fn deadlock_with_several_parked_tasks_panics_and_releases_all() {
+        let released = Mutex::new(0);
+        let err = std::panic::catch_unwind(|| {
+            let rt = SimRuntime::new(4);
+            std::thread::scope(|scope| {
+                rt.begin_world(&[0, 1, 2]);
+                for rank in 0..3 {
+                    let r = Arc::clone(&rt);
+                    let released = &released;
+                    scope.spawn(move || {
+                        r.task_enter(rank);
+                        // park with nobody to notify; only the poison can
+                        // release this thread, or the scope never joins
+                        let parked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            r.park_blocked()
+                        }));
+                        assert!(
+                            parked.is_err(),
+                            "rank {rank} must be released by the poison"
+                        );
+                        *released.lock().unwrap() += 1;
+                        r.task_exit(rank);
+                    });
+                }
+                rt.drive();
+            });
+        })
+        .unwrap_err();
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "?".into());
+        assert!(msg.contains("sim deadlock"), "{msg}");
+        for rank in 0..3 {
+            assert!(
+                msg.contains(&format!("rank {rank} (node {rank}): Parked")),
+                "{msg}"
+            );
+        }
+        assert_eq!(released.into_inner().unwrap(), 3);
+    }
+
+    #[test]
+    fn notify_from_outside_the_world_wakes_parked_tasks() {
+        // Both tasks park until a non-task thread posts and notifies, as
+        // `kill_node` does from a service thread. Its notify lands while
+        // no task holds the token, so no task will hand the token on: the
+        // driver must pick. A stall policy keeps the world alive until
+        // the post arrives.
+        let rt = SimRuntime::new(2);
+        rt.set_stall_wake(Some(QUANTUM));
+        let parked = AtomicU64::new(0);
+        let posted = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            rt.begin_world(&[0, 1]);
+            for rank in 0..2 {
+                let r = Arc::clone(&rt);
+                let (parked, posted) = (&parked, &posted);
+                scope.spawn(move || {
+                    r.task_enter(rank);
+                    parked.fetch_add(1, Ordering::SeqCst);
+                    while !posted.load(Ordering::SeqCst) {
+                        assert_eq!(r.park_blocked(), Some(YieldOutcome::Continue));
+                    }
+                    r.task_exit(rank);
+                });
+            }
+            let r = Arc::clone(&rt);
+            let (parked, posted) = (&parked, &posted);
+            scope.spawn(move || {
+                while parked.load(Ordering::SeqCst) < 2 {
+                    std::thread::yield_now();
+                }
+                posted.store(true, Ordering::SeqCst);
+                r.notify();
+            });
+            rt.drive();
+        });
+        assert!(rt.lock().tasks.iter().all(|t| t.state == TaskState::Done));
     }
 
     #[test]
